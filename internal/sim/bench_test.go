@@ -120,12 +120,13 @@ func benchSweepGrid() []Config {
 }
 
 // BenchmarkSimSweep replays the policy grid through RunSweep at several
-// worker counts. Points are independent full simulations, so wall time
-// should drop with workers — but only while workers fit in GOMAXPROCS.
-// Past that the goroutines timeshare the same cores and ns/op stays
-// flat (on a 1-CPU host every worker count measures the same serial
-// work), so oversubscribed points are skipped rather than reported as
-// if they were parallel measurements. TestRunSweepPointsConcurrency
+// worker counts. Points place independently, so the placement phase
+// should speed up with workers (the shared replay that follows is
+// serial) — but only while workers fit in GOMAXPROCS. Past that the
+// goroutines timeshare the same cores and ns/op stays flat (on a 1-CPU
+// host every worker count measures the same serial work), so
+// oversubscribed points are skipped rather than reported as if they
+// were parallel measurements. TestRunSweepPointsConcurrency
 // separately proves the fan-out itself engages regardless of cores.
 func BenchmarkSimSweep(b *testing.B) {
 	tr := benchTrace(b)
@@ -149,12 +150,13 @@ func BenchmarkSimSweep(b *testing.B) {
 // direct row-vs-chunk comparison at each cluster size. The vms axis
 // (fixed 500-server cluster) is the allocation story: the row path
 // allocates one fresh request per VM, so its allocs/op is linear in
-// trace length (~1/VM, see BenchmarkSimRun/vms=...); the chunk-fed
-// path's allocations are bounded by concurrency — the arrival pool
-// sized by peak in-flight VMs, per-server active-slice growth, the
-// completion heap — not by trace length, so doubling the trace adds
-// only the pool growth that the higher arrival rate itself causes
-// (~0.1 allocs/VM marginal here, flat once the cluster saturates).
+// trace length (~1/VM, see BenchmarkSimRun/vms=...). The chunk-fed
+// path's allocation count is bounded by concurrency — the arrival pool
+// sized by peak in-flight VMs, the replay's slab of live VMs, the
+// completion heap — not by trace length. Its bytes are not: the
+// placement log (8 bytes per arrival, allocated once at the trace's
+// length) and the replay's per-arrival fold bound (4 bytes) grow
+// linearly, ~12 B/op per VM.
 func BenchmarkSimRunColumns(b *testing.B) {
 	cfgFor := func(servers int) Config {
 		return Config{
@@ -191,9 +193,9 @@ func BenchmarkSimRunColumns(b *testing.B) {
 }
 
 // BenchmarkSimSweepColumns drives the policy grid from shared chunks:
-// one wave-size pass per sweep, one arrival pool per point, zero row
-// materialization. Worker counts past GOMAXPROCS are skipped for the
-// same reason as BenchmarkSimSweep.
+// one wave-size pass per sweep, one arrival pool per point, one shared
+// utilization replay, zero row materialization. Worker counts past
+// GOMAXPROCS are skipped for the same reason as BenchmarkSimSweep.
 func BenchmarkSimSweepColumns(b *testing.B) {
 	cols := trace.FromTrace(benchTrace(b))
 	for _, workers := range []int{1, 2, 4} {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"resourcecentral/internal/core"
 	"resourcecentral/internal/metric"
 	"resourcecentral/internal/model"
@@ -71,8 +73,7 @@ func (p *OraclePredictor) PredictP95Bucket(v *trace.VM, _ int) (int, float64, bo
 	if scale == 0 {
 		scale = 1
 	}
-	_, p95 := trace.SummaryStats(v, p.Horizon)
-	return metric.P95CPU.Bucket(p95 * scale), 1, true
+	return metric.P95CPU.Bucket(truthP95(v, p.Horizon) * scale), 1, true
 }
 
 // WrongPredictor always predicts an incorrect random bucket (the paper's
@@ -84,10 +85,25 @@ type WrongPredictor struct {
 
 // PredictP95Bucket implements Predictor.
 func (p *WrongPredictor) PredictP95Bucket(v *trace.VM, _ int) (int, float64, bool) {
-	_, p95 := trace.SummaryStats(v, p.Horizon)
-	truth := metric.P95CPU.Bucket(p95)
+	truth := metric.P95CPU.Bucket(truthP95(v, p.Horizon))
 	// Pick a pseudo-random bucket different from the truth.
 	h := uint64(v.ID) * 0x9e3779b97f4a7c15
 	offset := 1 + int((h>>33)%uint64(metric.P95CPU.Buckets()-1))
 	return (truth + offset) % metric.P95CPU.Buckets(), 1, true
+}
+
+// maxesPool lends the truth predictors their per-call series of interval
+// maxima. One predictor may serve several concurrent sweep points, so
+// the scratch cannot live on the predictor itself.
+var maxesPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// truthP95 is the VM's actual P95 of interval maxima over the window
+// (trace.SummaryStats' p95Max, bit for bit), computed into pooled
+// scratch.
+func truthP95(v *trace.VM, horizon trace.Minutes) float64 {
+	buf := maxesPool.Get().(*[]float64)
+	p95, maxes := trace.P95MaxBuf(v, horizon, *buf)
+	*buf = maxes
+	maxesPool.Put(buf)
+	return p95
 }

@@ -98,28 +98,62 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if len(tr.VMs) == 0 {
 		return nil, errors.New("sim: empty trace")
 	}
-	return runSource(newRowSource(tr), cfg)
+	return runOne(newRowSource(tr), cfg)
 }
 
 // RunColumns simulates a columnar trace against a fresh cluster without
 // materializing row structs: arrivals are filled from chunk columns
-// into a bounded pool of scratch VMs, so allocations stay flat in trace
-// length. The result is byte-identical to Run over the equivalent row
-// trace — both drive the same core, executing the same float operations
-// in the same order (see the columns equivalence tests).
+// into a bounded pool of scratch VMs. Beyond that pool and the cluster,
+// a run keeps an 8-byte placement-log entry per arrival for the
+// utilization replay, so its memory grows with trace length by that
+// much. The result is byte-identical to Run over the equivalent row
+// trace — both drive the same placement and replay, executing the same
+// float operations in the same order (see the columns equivalence
+// tests).
 func RunColumns(c *trace.Columns, cfg Config) (*Result, error) {
 	if c.Len() == 0 {
 		return nil, errors.New("sim: empty trace")
 	}
-	return runSource(newColSource(c, countInitialWavesColumns(c)), cfg)
+	return runOne(newColSource(c, countInitialWavesColumns(c)), cfg)
 }
 
-// runSource is the shared Section 6.2 core: it drains completions,
-// schedules each arrival the source yields, and folds placements into
-// the streaming per-server accumulators. Everything trace-shaped is
-// behind src, so the row and columnar paths differ only in how arrivals
-// are produced.
-func runSource(src arrivalSource, cfg Config) (*Result, error) {
+// runOne is the one-point case of the sweep's two phases: place every
+// arrival, then replay utilization over the placement log.
+func runOne(src arrivalSource, cfg Config) (*Result, error) {
+	p, err := place(src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	replay(src, []*placement{p})
+	return p.res, nil
+}
+
+// placement is one point's placement-phase outcome: every Result field
+// except the utilization statistics, plus the log the replay folds them
+// from.
+type placement struct {
+	cfg       Config   // with defaults applied
+	runLabels []string // the point's metric labels
+	res       *Result
+	servers   int
+	// log holds one entry per arrival, in arrival order.
+	log []placeRec
+}
+
+// placeRec is one arrival's placement: the server it landed on (-1 on
+// failure) and the first 5-minute interval it contributes readings to.
+type placeRec struct {
+	server int32
+	first  int32
+}
+
+// place is the placement phase of Section 6.2: it drains completions,
+// schedules each arrival the source yields, and logs where it landed.
+// Algorithm 1 places by predicted P95, never by observed utilization,
+// so nothing here reads a reading; the replay derives them afterwards.
+// Everything trace-shaped is behind src, so the row and columnar paths
+// differ only in how arrivals are produced.
+func place(src arrivalSource, cfg Config) (*placement, error) {
 	if cfg.ConfidenceThreshold == 0 {
 		cfg.ConfidenceThreshold = 0.6
 	}
@@ -169,16 +203,20 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 		runSpan.End()
 		return nil, fmt.Errorf("sim: horizon %d too short", horizon)
 	}
-	// One streaming accumulator per server instead of a servers×intervals
-	// matrix: each placement advances the target server's finalized-interval
-	// frontier before joining its active set, and the final flush drains
-	// every accumulator to the horizon.
-	accums := make([]serverAccum, len(cl.Servers))
-	// The original stats pass divided by a float32 capacity; keep that
-	// rounding so per-reading percentages stay bit-identical.
-	capacity := float64(float32(cfg.Cluster.CoresPerServer))
+	// frontier[s] is the first interval server s has not finalized: a VM
+	// placed there contributes from max(its aligned start, frontier[s]),
+	// and the frontier never moves back. On a trace sorted by creation
+	// time the frontier never exceeds an arrival's start; on an unsorted
+	// one a late-listed VM loses the intervals its server already closed.
+	frontier := make([]int32, len(cl.Servers))
 
 	res := &Result{Policy: cfg.Cluster.Policy}
+	p := &placement{
+		runLabels: runLabels,
+		res:       res,
+		servers:   len(cl.Servers),
+		log:       make([]placeRec, 0, src.size()),
+	}
 	var completions completionHeap
 
 	err = src.each(func(v *trace.VM, req *cluster.Request, requested int) error {
@@ -222,6 +260,7 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 			} else {
 				res.FailuresNonProd++
 			}
+			p.log = append(p.log, placeRec{server: -1})
 			src.release(req)
 			return nil
 		}
@@ -233,13 +272,15 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 			end = horizon
 		}
 		res.AllocatedCoreHours += float64(end-v.Created) / 60 * float64(v.Cores)
-		a := &accums[server.ID]
-		startIdx := int(alignUp(v.Created) / trace.ReadingIntervalMin)
-		if startIdx > intervals {
-			startIdx = intervals
+		start := alignUp(v.Created) / trace.ReadingIntervalMin
+		if start > trace.Minutes(intervals) {
+			start = trace.Minutes(intervals)
 		}
-		a.advance(startIdx, cfg.UtilScale, capacity)
-		a.active = append(a.active, activeVM{util: v.Util, end: end, cores: float64(v.Cores)})
+		f := &frontier[server.ID]
+		if start > trace.Minutes(*f) {
+			*f = int32(start)
+		}
+		p.log = append(p.log, placeRec{server: int32(server.ID), first: *f})
 		if v.Deleted < trace.NoEnd {
 			completions.push(completion{at: v.Deleted, req: req})
 		} else {
@@ -253,33 +294,15 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 		runSpan.End()
 		return nil, err
 	}
-
-	// Flush every accumulator to the horizon, then combine per-server
-	// statistics in server-ID order. The counters and maximum are
-	// order-independent; the utilization mean sums per-server subtotals
-	// instead of one global chain over every matrix cell — the only float
-	// regrouping relative to the matrix implementation (see the streaming
-	// equivalence test, whose reference reduces the same way).
-	var sum float64
-	for i := range accums {
-		a := &accums[i]
-		a.advance(intervals, cfg.UtilScale, capacity)
-		sum += a.sumPct
-		res.BusyReadings += a.busy
-		res.ReadingsAbove100 += a.above100
-		if a.maxPct > res.MaxReadingPct {
-			res.MaxReadingPct = a.maxPct
-		}
-	}
-	res.AvgUtilizationPct = sum / float64(len(accums)*intervals)
 	res.FailureRate = float64(res.Failures) / float64(res.Arrivals)
 	if d := runSpan.End(reg.Histogram("rc_sim_run_seconds",
-		"Wall time of one simulation run.", obs.DefaultDurationBuckets, runLabels...)); d > 0 {
+		"Wall time of one simulation run's placement phase.", obs.DefaultDurationBuckets, runLabels...)); d > 0 {
 		reg.Gauge("rc_sim_placements_per_second",
 			"Placement throughput of the most recent run.", runLabels...).
 			Set(float64(res.Placed) / d.Seconds())
 	}
-	return res, nil
+	p.cfg = cfg
+	return p, nil
 }
 
 // c95Cores computes V.util of Algorithm 1: the predicted 95th-percentile
@@ -299,76 +322,6 @@ func c95Cores(v *trace.VM, cfg Config, requested int) float64 {
 		bucket = max
 	}
 	return metric.P95CPU.BucketHigh(bucket) / 100 * full
-}
-
-// activeVM is one VM currently contributing to a server's utilization
-// readings: its contribution window was fixed at placement time. The
-// utilization model is held by value — not via the *trace.VM — because
-// accumulators read it long after the arrival is gone, and the columnar
-// path recycles its scratch VMs (At is a pure function of the model's
-// fields, so the copy reads identically).
-type activeVM struct {
-	util  trace.UtilModel
-	end   trace.Minutes // Deleted clamped to the horizon
-	cores float64
-}
-
-// serverAccum streams one server's utilization statistics without
-// materializing its per-interval series. Intervals below frontier are
-// finalized; active holds the VMs that can still contribute, in placement
-// order — the same order the matrix implementation accumulated each
-// float32 cell in, which keeps every reading bit-identical.
-type serverAccum struct {
-	frontier int // next unfinalized 5-minute interval
-	active   []activeVM
-	sumPct   float64
-	busy     int
-	above100 int
-	maxPct   float64
-}
-
-// advance finalizes intervals [frontier, upto), folding the paper's
-// pessimistic aggregation — the sum of co-located VMs' interval-maximum
-// utilizations, each pessimistically held for the whole 5-minute window —
-// into the running statistics. Contributions only cover intervals the VM
-// fully occupies: two VMs that time-share a server slot within one window
-// must not double-count, otherwise even non-oversubscribed servers would
-// report readings above 100% (the paper's Baseline never does). VMs whose
-// window has passed are compacted out in place, preserving order; once the
-// active set is empty every remaining reading is exactly zero, so the
-// frontier jumps straight to upto.
-func (a *serverAccum) advance(upto int, scale, capacity float64) {
-	for ; a.frontier < upto; a.frontier++ {
-		if len(a.active) == 0 {
-			a.frontier = upto
-			break
-		}
-		t := trace.Minutes(a.frontier) * trace.ReadingIntervalMin
-		var reading float32
-		live := a.active[:0]
-		for i := range a.active {
-			vm := &a.active[i]
-			if t+trace.ReadingIntervalMin > vm.end {
-				continue
-			}
-			live = append(live, *vm)
-			_, _, max := vm.util.At(t)
-			reading += float32(max / 100 * vm.cores * scale)
-		}
-		a.active = live
-		if reading <= 0 {
-			continue
-		}
-		pct := float64(reading) / capacity * 100
-		a.sumPct += pct
-		a.busy++
-		if pct > 100 {
-			a.above100++
-		}
-		if pct > a.maxPct {
-			a.maxPct = pct
-		}
-	}
 }
 
 // alignUp rounds t up to the 5-minute reading grid.

@@ -26,6 +26,12 @@ type arrivalSource interface {
 	// VMCompleted, on a failed placement, or when the VM never
 	// completes inside the window.
 	release(req *cluster.Request)
+	// scan calls fn once per VM in trace order, for the utilization
+	// replay; v is valid only during the call. It neither hands out nor
+	// needs requests, so it may run beside or after each.
+	scan(fn func(v *trace.VM))
+	// size is the number of arrivals.
+	size() int
 }
 
 // rowSource adapts a row-major trace. It is stateless beyond the
@@ -53,6 +59,14 @@ func (s *rowSource) each(fn func(v *trace.VM, req *cluster.Request, requested in
 }
 
 func (s *rowSource) release(*cluster.Request) {}
+
+func (s *rowSource) scan(fn func(v *trace.VM)) {
+	for i := range s.tr.VMs {
+		fn(&s.tr.VMs[i])
+	}
+}
+
+func (s *rowSource) size() int { return len(s.tr.VMs) }
 
 // colArrival is one pooled arrival: the scratch VM a chunk row is
 // expanded into and the request wrapping it.
@@ -117,6 +131,20 @@ func (s *colSource) release(req *cluster.Request) {
 		s.free = append(s.free, a)
 	}
 }
+
+func (s *colSource) scan(fn func(v *trace.VM)) {
+	var v trace.VM
+	_ = s.c.ForEachChunk(func(_ int, ch *trace.Chunk) error {
+		n := ch.Len()
+		for j := 0; j < n; j++ {
+			ch.VMAt(j, &v)
+			fn(&v)
+		}
+		return nil
+	})
+}
+
+func (s *colSource) size() int { return s.c.Len() }
 
 // countInitialWaves maps deployment id to its initial request size (the
 // number of VMs in its first wave), the client input RC models consume.

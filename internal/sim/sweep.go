@@ -30,47 +30,53 @@ type SweepResult struct {
 	Metrics []obs.Family
 }
 
-// RunSweep replays the trace against every config concurrently — the
-// Fig. 11 policy grid and the sensitivity studies are embarrassingly
-// parallel, since each point simulates a fresh cluster. Points missing a
-// RunLabel get "point<i>" so their metrics stay distinguishable after the
-// merge. Run errors don't abort the sweep; they are joined into the
-// returned error while the remaining points complete. The initial-wave
-// sizes are computed once and shared read-only across all points.
+// RunSweep replays the trace against every config — the Fig. 11 policy
+// grid and the sensitivity studies. Each point places the trace on a
+// fresh cluster, concurrently with the others; then one shared replay
+// derives every point's utilization statistics, evaluating each
+// (VM, interval) once however many points placed the VM. Points missing
+// a RunLabel get "point<i>" so their metrics stay distinguishable after
+// the merge. Run errors don't abort the sweep; they are joined into the
+// returned error while the remaining points complete, and a failed point
+// is left out of the replay. The initial-wave sizes are computed once
+// and shared read-only across all points.
 func RunSweep(tr *trace.Trace, cfgs []Config, opt SweepOptions) (*SweepResult, error) {
 	if len(tr.VMs) == 0 {
-		return runSweepPoints(cfgs, opt, func(Config) (*Result, error) {
+		return runSweepPoints(cfgs, opt, nil, func(Config) (*placement, error) {
 			return nil, errors.New("sim: empty trace")
 		})
 	}
 	src := newRowSource(tr) // stateless per run; safe to share across points
-	return runSweepPoints(cfgs, opt, func(cfg Config) (*Result, error) {
-		return runSource(src, cfg)
+	return runSweepPoints(cfgs, opt, src, func(cfg Config) (*placement, error) {
+		return place(src, cfg)
 	})
 }
 
-// RunSweepColumns is RunSweep over a columnar trace: every point runs
-// RunColumns against the shared chunks, with the wave sizes computed
-// once per sweep. Each point gets its own arrival pool (the pool is the
-// only per-run state), so points stay independent while the underlying
-// columns are shared read-only.
+// RunSweepColumns is RunSweep over a columnar trace: every point places
+// the shared chunks with the wave sizes computed once per sweep, and the
+// replay rereads them once. Each point gets its own arrival pool (the
+// pool is the only per-point source state), so points stay independent
+// while the underlying columns are shared read-only. Memory beyond the
+// clusters is the placement logs — 8 bytes per arrival per point — and
+// the replay's set of live VMs.
 func RunSweepColumns(c *trace.Columns, cfgs []Config, opt SweepOptions) (*SweepResult, error) {
 	if c.Len() == 0 {
-		return runSweepPoints(cfgs, opt, func(Config) (*Result, error) {
+		return runSweepPoints(cfgs, opt, nil, func(Config) (*placement, error) {
 			return nil, errors.New("sim: empty trace")
 		})
 	}
 	waves := countInitialWavesColumns(c)
-	return runSweepPoints(cfgs, opt, func(cfg Config) (*Result, error) {
-		return runSource(newColSource(c, waves), cfg)
+	return runSweepPoints(cfgs, opt, newColSource(c, waves), func(cfg Config) (*placement, error) {
+		return place(newColSource(c, waves), cfg)
 	})
 }
 
 // runSweepPoints is the sweep scaffolding shared by the row and
 // columnar entry points: label/registry defaulting, the worker pool
-// over points, and the deterministic metric merge. runOne executes a
-// single point and must be safe for concurrent calls.
-func runSweepPoints(cfgs []Config, opt SweepOptions, runOne func(Config) (*Result, error)) (*SweepResult, error) {
+// that places the points, the shared replay over src of every placed
+// point, and the deterministic metric merge. placeOne places a single
+// point and must be safe for concurrent calls.
+func runSweepPoints(cfgs []Config, opt SweepOptions, src arrivalSource, placeOne func(Config) (*placement, error)) (*SweepResult, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -90,7 +96,7 @@ func runSweepPoints(cfgs []Config, opt SweepOptions, runOne func(Config) (*Resul
 		points[i] = cfg
 	}
 
-	res := &SweepResult{Results: make([]*Result, len(points))}
+	placed := make([]*placement, len(points))
 	errs := make([]error, len(points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -103,16 +109,32 @@ func runSweepPoints(cfgs []Config, opt SweepOptions, runOne func(Config) (*Resul
 				if i >= len(points) {
 					return
 				}
-				r, err := runOne(points[i])
+				p, err := placeOne(points[i])
 				if err != nil {
 					errs[i] = fmt.Errorf("sweep point %q: %w", points[i].RunLabel, err)
 					continue
 				}
-				res.Results[i] = r
+				placed[i] = p
 			}
 		}()
 	}
 	wg.Wait()
+
+	res := &SweepResult{Results: make([]*Result, len(points))}
+	var ok []*placement
+	for _, p := range placed {
+		if p != nil {
+			ok = append(ok, p)
+		}
+	}
+	if len(ok) > 0 {
+		replay(src, ok)
+	}
+	for i, p := range placed {
+		if p != nil {
+			res.Results[i] = p.res
+		}
+	}
 
 	// Merge per-point registries in point order so the snapshot is
 	// deterministic; a registry shared by several points contributes once.

@@ -19,6 +19,24 @@ func BenchmarkUtilModelAt(b *testing.B) {
 	}
 }
 
+// BenchmarkUtilModelMaxAt is BenchmarkUtilModelAt through the max-only
+// evaluator, with one tick per interval shared by eight models the way
+// the simulator's replay shares it across the VMs it holds. One op is
+// one evaluation.
+func BenchmarkUtilModelMaxAt(b *testing.B) {
+	m := UtilModel{Kind: UtilBursty, Base: 10, Amplitude: 70, SpikeProb: 0.1, NoiseSD: 3, Seed: 7}
+	var tk UtilTick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 0 {
+			tk = NewUtilTick(Minutes(i / 8 * 5))
+		}
+		m.Seed = uint64(i % 8)
+		m.MaxAt(&tk)
+	}
+}
+
 // benchSizes returns the fleet sizes the persistence benchmarks run at.
 // RC_TRACE_BENCH_SIZES overrides them (comma-separated), so CI can run a
 // quick smoke while `make bench-trace` measures the full 100k/500k pair.

@@ -246,6 +246,28 @@ func SummaryStatsBuf(v *VM, horizon Minutes, scratch []float64) (avgCPU, p95Max 
 	return avgCPU, p95Max, maxes
 }
 
+// P95MaxBuf is SummaryStats' p95Max alone, bit-identical to it, through
+// the max-only evaluator: it neither draws the min stream nor sums the
+// average. scratch is a caller-owned buffer (contents overwritten); the
+// possibly grown buffer is returned for reuse.
+func P95MaxBuf(v *VM, horizon Minutes, scratch []float64) (p95Max float64, buf []float64) {
+	end := v.Deleted
+	if end > horizon {
+		end = horizon
+	}
+	maxes := scratch[:0]
+	bursty := v.Util.Kind == UtilBursty
+	for t := v.Created; t < end; t += ReadingIntervalMin {
+		var tk UtilTick
+		tk.set(t, bursty)
+		maxes = append(maxes, v.Util.MaxAt(&tk))
+	}
+	if len(maxes) == 0 {
+		return 0, maxes
+	}
+	return quickP95(maxes), maxes
+}
+
 // SummarizeSeries walks v's telemetry once, producing everything the
 // feature-data and extraction hot loops need: the whole-life average CPU,
 // the P95 of per-interval maxima, and the average-CPU series (for the

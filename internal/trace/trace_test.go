@@ -387,3 +387,96 @@ func TestQuickUtilModelInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// utilTestModels spans all five UtilKinds with random parameters, plus
+// the edge shapes (no noise, no spikes, no ramp) the formula branches on.
+func utilTestModels(r *rand.Rand, n int) []UtilModel {
+	var models []UtilModel
+	for i := 0; i < n; i++ {
+		for kind := UtilFlat; kind <= UtilIdle; kind++ {
+			m := UtilModel{
+				Kind:         kind,
+				Base:         100 * r.Float64(),
+				Amplitude:    100 * r.Float64(),
+				NoiseSD:      30 * r.Float64(),
+				PhaseMin:     r.Int64N(2 * minutesPerDay),
+				SpikeProb:    r.Float64(),
+				Seed:         r.Uint64(),
+				RampLifetime: r.Int64N(20000),
+			}
+			if i%4 == 0 {
+				m.NoiseSD, m.SpikeProb = 0, 0
+			}
+			models = append(models, m)
+		}
+	}
+	return models
+}
+
+// MaxAt must return exactly At's max — bit for bit — for every kind,
+// over random seeds and times, with one tick shared across models the
+// way the simulator's replay shares it.
+func TestUtilModelMaxAtMatchesAt(t *testing.T) {
+	r := rand.New(rand.NewPCG(12, 34))
+	models := utilTestModels(r, 40)
+	for trial := 0; trial < 300; trial++ {
+		tm := Minutes(r.Int64N(60 * minutesPerDay))
+		if trial%3 == 0 {
+			tm -= tm % ReadingIntervalMin
+		}
+		tk := NewUtilTick(tm)
+		for i := range models {
+			m := &models[i]
+			_, _, want := m.At(tm)
+			if got := m.MaxAt(&tk); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at %d: MaxAt %v, At max %v", *m, tm, got, want)
+			}
+		}
+	}
+}
+
+// At's output is pinned bit for bit: a digest of (min, avg, max) over
+// every kind, random parameters and times, captured before At and MaxAt
+// were folded onto one shared formula. Every paper number downstream
+// (EXPERIMENTS.md, the simulator goldens) depends on these bits.
+func TestUtilModelAtPinned(t *testing.T) {
+	r := rand.New(rand.NewPCG(56, 78))
+	models := utilTestModels(r, 20)
+	var h uint64 = 14695981039346656037
+	for trial := 0; trial < 200; trial++ {
+		tm := Minutes(r.Int64N(60 * minutesPerDay))
+		for i := range models {
+			min, avg, max := models[i].At(tm)
+			for _, x := range []float64{min, avg, max} {
+				h = (h ^ math.Float64bits(x)) * 1099511628211
+			}
+		}
+	}
+	const want = 0xd4c97e3b40deb14f
+	if h != want {
+		t.Errorf("At digest = %#x, want %#x", h, uint64(want))
+	}
+}
+
+// P95MaxBuf must return SummaryStats' p95 bit for bit, including empty
+// and horizon-clipped windows, while reusing its scratch buffer.
+func TestP95MaxBufMatchesSummaryStats(t *testing.T) {
+	r := rand.New(rand.NewPCG(90, 12))
+	models := utilTestModels(r, 10)
+	var buf []float64
+	for trial := 0; trial < 400; trial++ {
+		created := Minutes(r.Int64N(20 * minutesPerDay))
+		v := VM{
+			Created: created,
+			Deleted: created + Minutes(r.Int64N(3*minutesPerDay)),
+			Util:    models[trial%len(models)],
+		}
+		horizon := Minutes(r.Int64N(25 * minutesPerDay))
+		_, want := SummaryStats(&v, horizon)
+		var got float64
+		got, buf = P95MaxBuf(&v, horizon, buf)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d %+v horizon %d: P95MaxBuf %v, SummaryStats %v", trial, v, horizon, got, want)
+		}
+	}
+}
